@@ -5,7 +5,7 @@
 //! quality surfaces as superstep execution time.
 //!
 //! Defaults to RMAT scale 16 (65 536 vertices, ~500 k edges), the acceptance
-//! workload for the scan-index/buffer-reuse/parallel-shuffle rewrite; set
+//! workload for the engine's scan-index/buffer-reuse hot path; set
 //! `CUTFIT_BENCH_RMAT_SCALE` to run a smaller graph (CI uses 12 as a
 //! non-gating perf trajectory signal).
 

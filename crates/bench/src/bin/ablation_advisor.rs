@@ -166,8 +166,9 @@ fn main() {
     // --- Part 3: granularity advice sanity check. ---
     if !args.csv {
         println!("granularity advice (paper: PR coarse, CC/TR fine):");
-        for a in ["PR", "CC", "TR", "SSSP"] {
-            println!("  {a}: {:?}", Advisor::granularity_for(a));
+        for a in Algorithm::paper_suite(args.seed) {
+            let hint = Advisor::granularity_typed(a.class(), a.converges());
+            println!("  {}: {hint:?}", a.abbrev());
         }
         let _ = human_seconds(0.0);
     }

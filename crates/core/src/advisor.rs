@@ -270,18 +270,6 @@ impl Advisor {
             _ => GranularityHint::Fine,
         }
     }
-
-    /// Stringly-typed shim over [`Advisor::granularity_typed`], kept for
-    /// callers holding only a paper abbreviation ("PR", "CC", "TR", …).
-    /// Unknown names get the safe default (fine).
-    pub fn granularity_for(algorithm: &str) -> GranularityHint {
-        match algorithm {
-            "PR" => Self::granularity_typed(AlgorithmClass::EdgeBound, false),
-            "CC" | "SSSP" => Self::granularity_typed(AlgorithmClass::EdgeBound, true),
-            "TR" => Self::granularity_typed(AlgorithmClass::VertexStateBound, true),
-            _ => GranularityHint::Fine,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -403,16 +391,30 @@ mod tests {
 
     #[test]
     fn granularity_follows_paper() {
-        assert_eq!(Advisor::granularity_for("PR"), GranularityHint::Coarse);
-        assert_eq!(Advisor::granularity_for("CC"), GranularityHint::Fine);
-        assert_eq!(Advisor::granularity_for("TR"), GranularityHint::Fine);
-        assert_eq!(Advisor::granularity_for("unknown"), GranularityHint::Fine);
+        use AlgorithmClass::{EdgeBound, VertexStateBound};
+        // Only non-convergent edge-bound work (PR) prefers coarse cuts.
+        assert_eq!(
+            Advisor::granularity_typed(EdgeBound, false),
+            GranularityHint::Coarse
+        );
+        assert_eq!(
+            Advisor::granularity_typed(EdgeBound, true),
+            GranularityHint::Fine
+        );
+        assert_eq!(
+            Advisor::granularity_typed(VertexStateBound, true),
+            GranularityHint::Fine
+        );
+        assert_eq!(
+            Advisor::granularity_typed(VertexStateBound, false),
+            GranularityHint::Fine
+        );
     }
 
     #[test]
     fn granularity_typed_agrees_with_the_algorithms() {
         // The typed path fed from the Algorithm enum must reproduce the
-        // paper table the string shim encodes.
+        // paper table: PR coarse; CC, TR and SSSP fine.
         let cases = [
             (
                 Algorithm::PageRank { iterations: 10 },
@@ -439,7 +441,6 @@ mod tests {
                 "{}",
                 algo.abbrev()
             );
-            assert_eq!(Advisor::granularity_for(algo.abbrev()), expected);
         }
         // HITS is PR-shaped: always-active, edge-bound → coarse.
         let hits = Algorithm::Hits { iterations: 10 };

@@ -180,8 +180,8 @@ pub(crate) enum ScanKind {
 /// across supersteps and jobs (lists are drained or cleared in place, so
 /// capacity is retained).
 pub(crate) struct FrontierBuffers {
-    /// Current frontier, grouped by home partition. Lock-free under the
-    /// pool: each home partition belongs to exactly one thread.
+    /// Current frontier, grouped by home partition, so the apply drains
+    /// it home by home.
     pub(crate) frontier: Vec<Vec<VertexId>>,
     /// Vertices whose inbox slot was first written this superstep, grouped
     /// by home — swapped in as the next frontier after the apply.

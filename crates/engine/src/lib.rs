@@ -20,15 +20,16 @@
 //! seconds.
 //!
 //! The superstep loop runs on precomputed run-scoped indexes and reusable
-//! buffers (see [`pregel`]), and all three phases — scan, shuffle, apply —
-//! execute on the worker pool under [`ExecutorMode::Parallel`] and
-//! [`ExecutorMode::Auto`]. Converging programs additionally run
-//! frontier-driven (see the `frontier` module): supersteps whose active set
-//! has shrunk scan only the frontier's incident edges and drain only touched
-//! message slots, making tail supersteps O(active) instead of O(V + E).
+//! buffers (see [`pregel`]). The scan executes on the worker pool under
+//! [`ExecutorMode::Parallel`] and [`ExecutorMode::Auto`]; shuffle and apply
+//! run on the calling thread in every mode. Converging programs
+//! additionally run frontier-driven (see the `frontier` module): supersteps
+//! whose active set has shrunk scan only the frontier's incident edges and
+//! drain only touched message slots, making tail supersteps O(active)
+//! instead of O(V + E).
 //! Every executor mode *and* every [`ScanMode`] produces bit-identical
 //! results, vertex states and metered [`cutfit_cluster::SimReport`] alike:
-//! threads own disjoint partition/vertex sets, per-vertex merges happen in
+//! scan threads own disjoint partition sets, per-vertex merges happen in
 //! deterministic source-partition order (sparse scans visit gathered edges
 //! in ascending edge index, reproducing the dense merge order), and all
 //! metering is integral.

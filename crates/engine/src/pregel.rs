@@ -4,26 +4,25 @@
 //!
 //! * **Run-scoped indexes** (the private `ScanIndex`): everything the loop
 //!   would otherwise resolve per message — each vertex's master ("home")
-//!   partition including the isolated-vertex hash fallback,
-//!   partition→executor mapping, and the per-partition grouping of local
-//!   vertices by home — is precomputed once from the [`PartitionedGraph`],
-//!   and endpoint resolution is a single load from the borrowed
-//!   local→global table, so supersteps do zero binary searches, routing
-//!   lookups, or hashing.
+//!   partition including the isolated-vertex hash fallback, and the
+//!   partition→executor mapping — is precomputed once from the
+//!   [`PartitionedGraph`], and endpoint resolution is a single load from the
+//!   borrowed local→global table, so supersteps do zero binary searches,
+//!   routing lookups, or hashing. The parts only some programs read — the
+//!   fixed-size-state setup aggregates and the sparse-scan adjacency — are
+//!   built the first time a program needs them.
 //! * **Buffer reuse**: the inbox, per-partition partial-aggregate buffers,
 //!   and activity bitsets are allocated once per run and cleared in place
 //!   (the shuffle *takes* every partial and the apply *takes* every inbox
 //!   entry, so the buffers self-clean), eliminating the per-superstep
 //!   O(vertices + replicas) allocation churn.
 //!
-//! All three phases — scan, shuffle, apply/broadcast — run on the worker
-//! pool. Scan parallelises over edge partitions; shuffle and apply
-//! parallelise over *home* partitions, each thread owning a disjoint set of
-//! vertices, with per-thread integral metering deltas merged afterwards.
-//! Because every ledger quantity is an integer counter and each vertex's
-//! messages merge in ascending source-partition order in every mode, the
-//! parallel executors are bit-identical to sequential execution in both
-//! vertex states and the metered [`SimReport`].
+//! The scan runs on the worker pool, parallel over edge partitions. Shuffle
+//! and apply/broadcast run on the calling thread, one linear sweep each,
+//! in every [`ExecutorMode`]. Because every ledger quantity is an integer
+//! counter and each vertex's messages merge in ascending source-partition
+//! order, every executor mode is bit-identical in both vertex states and
+//! the metered [`SimReport`].
 
 use std::sync::Arc;
 
@@ -31,7 +30,7 @@ use cutfit_cluster::{ClusterConfig, ClusterSim, SimError, SimReport, SuperstepLe
 use cutfit_graph::types::PartId;
 use cutfit_graph::VertexId;
 use cutfit_partition::{EdgePartition, PartitionedGraph, NO_PART};
-use cutfit_util::exec::{run_chunked, run_ranges, DisjointSlice};
+use cutfit_util::exec::{run_ranges, DisjointSlice};
 use cutfit_util::hash::hash64;
 use cutfit_util::num::{part_index, vid_index};
 
@@ -45,10 +44,11 @@ use crate::program::{ActiveDirection, InitCtx, Messages, Triplet, VertexProgram}
 pub enum ExecutorMode {
     /// One partition after another on the calling thread.
     Sequential,
-    /// All phases (scan, shuffle, apply) run on a pool of OS threads.
-    /// Results are bit-identical to sequential execution: threads own
-    /// disjoint partition/vertex sets, merges happen in deterministic
-    /// source-partition order, and all metering is integral.
+    /// The scan phase runs on a pool of OS threads, each owning a disjoint
+    /// range of edge partitions; shuffle and apply run on the calling
+    /// thread. Results are bit-identical to sequential execution: merges
+    /// happen in deterministic source-partition order, and all metering is
+    /// integral.
     Parallel {
         /// Number of worker threads.
         threads: usize,
@@ -97,7 +97,7 @@ pub struct PregelConfig {
     /// Maximum number of message supersteps (the paper runs PR and CC for
     /// 10 iterations).
     pub max_iterations: u64,
-    /// Executor mode for the scan/shuffle/apply phases.
+    /// Executor mode: how many threads the scan phase runs on.
     pub executor: ExecutorMode,
     /// Whether to charge the initial dataset load from storage.
     pub charge_initial_load: bool,
@@ -143,26 +143,6 @@ pub struct PregelResult<V> {
     pub sim: SimReport,
 }
 
-/// Per-partition slice of the run-scoped index. Edge and local→global
-/// tables are *not* duplicated here — the loop reads them straight from the
-/// [`PartitionedGraph`], which keeps the index self-contained (no borrows)
-/// so a [`PreparedRun`] can own both the `Arc`'d graph and its index.
-struct PartIndex {
-    /// CSR offsets into `home_locals`, one group per home partition.
-    home_offsets: Vec<u32>,
-    /// Local vertex indices grouped by the home partition of their global
-    /// vertex, ascending within each group.
-    home_locals: Vec<u32>,
-}
-
-impl PartIndex {
-    /// Local indices of this partition whose vertices are mastered at `q`.
-    #[inline]
-    fn locals_of_home(&self, q: usize) -> &[u32] {
-        &self.home_locals[self.home_offsets[q] as usize..self.home_offsets[q + 1] as usize]
-    }
-}
-
 /// Precomputed setup-superstep aggregates, used to meter the initial apply
 /// + replica broadcast of **fixed-size-state** programs in O(partitions +
 /// executor pairs) instead of O(vertices + replicas) per dispatch: the
@@ -179,8 +159,52 @@ struct SetupAggregates {
     bcast_pairs: Vec<((u32, u32), u64)>,
 }
 
-/// Immutable run-scoped index precomputed from the [`PartitionedGraph`] so
-/// the superstep loop does no routing lookups, hashing, or binary searches.
+impl SetupAggregates {
+    fn build(pg: &PartitionedGraph, home: &[PartId], exec_of_part: &[u32]) -> Self {
+        let np = pg.num_parts() as usize;
+        let mut home_counts = vec![0u64; np];
+        for &h in home {
+            home_counts[h as usize] += 1;
+        }
+        let mut isolated_counts = vec![0u64; np];
+        for (v, &m) in pg.masters().iter().enumerate() {
+            if m == NO_PART {
+                isolated_counts[home[v] as usize] += 1;
+            }
+        }
+        // BTreeMap: iterated below, and unordered iteration in the
+        // engine is exactly what the analyzer's D1 rule forbids.
+        let mut pairs: std::collections::BTreeMap<(u32, u32), u64> =
+            std::collections::BTreeMap::new();
+        for v in 0..pg.num_vertices() {
+            let replicas = pg.routing().parts_of(v);
+            if replicas.len() > 1 {
+                let h = home[v as usize];
+                let master_exec = exec_of_part[h as usize];
+                for &p in replicas {
+                    if p != h {
+                        *pairs
+                            .entry((master_exec, exec_of_part[p as usize]))
+                            .or_default() += 1;
+                    }
+                }
+            }
+        }
+        // BTreeMap iteration is already key-ascending: no sort needed.
+        Self {
+            home_counts,
+            isolated_counts,
+            bcast_pairs: pairs.into_iter().collect(),
+        }
+    }
+}
+
+/// Run-scoped index precomputed from the [`PartitionedGraph`] so the
+/// superstep loop does no routing lookups, hashing, or binary searches.
+/// Edge and local→global tables are *not* duplicated here — the loop reads
+/// them straight from the graph, which keeps the index self-contained (no
+/// borrows) so a [`PreparedRun`] can own both the `Arc`'d graph and its
+/// index.
 struct ScanIndex {
     /// Master partition per vertex, with the isolated-vertex hash fallback
     /// folded in (GraphX hash-partitions the vertex RDD; vertices without
@@ -188,35 +212,19 @@ struct ScanIndex {
     home: Vec<PartId>,
     /// Executor hosting each partition.
     exec_of_part: Vec<u32>,
-    /// Per-partition local groupings by home (empty unless sharded).
-    parts: Vec<PartIndex>,
-    /// Setup-superstep aggregates for fixed-size-state metering; `None`
-    /// when the caller knows no fixed-size program will run (the O(V +
-    /// replicas) aggregation pass would be pure waste there).
+    /// Setup-superstep aggregates for fixed-size-state metering, built the
+    /// first time a fixed-size program runs (variable-size programs take
+    /// the per-vertex metering sweep and never read them).
     setup: Option<SetupAggregates>,
     /// Frontier-driven sparse-scan index: the eager replica-local table
-    /// plus lazily built per-partition incident-edge CSRs. `None` when the
-    /// caller knows only dense scans will run (forced [`ScanMode::Dense`]
-    /// or an always-active program).
+    /// plus lazily built per-partition incident-edge CSRs. Built the first
+    /// time a converging program runs a scan mode other than
+    /// [`ScanMode::Dense`].
     adjacency: Option<FrontierAdjacency>,
 }
 
 impl ScanIndex {
-    /// Builds the index. The home-sharded grouping (`home_locals`) is only
-    /// needed by the multi-threaded dense shuffle — the single-thread path
-    /// sweeps linearly — so it is built only when `shards` is set. Likewise
-    /// the setup aggregates are built only when `setup` is set: one-shot
-    /// runs of variable-size-state programs take the per-vertex metering
-    /// sweep and never read them. The sparse-scan adjacency is built only
-    /// when `adjacency` is set.
-    fn build(
-        pg: &PartitionedGraph,
-        cluster: &ClusterConfig,
-        shards: bool,
-        setup: bool,
-        adjacency: bool,
-    ) -> Self {
-        let n = pg.num_vertices() as usize;
+    fn build(pg: &PartitionedGraph, cluster: &ClusterConfig) -> Self {
         let np = pg.num_parts() as usize;
         let home: Vec<PartId> = pg
             .masters()
@@ -231,98 +239,23 @@ impl ScanIndex {
             })
             .collect();
         let exec_of_part: Vec<u32> = (0..np as u32).map(|p| cluster.executor_of(p)).collect();
-
-        let parts = pg
-            .parts()
-            .iter()
-            .map(|part| {
-                let (home_offsets, home_locals) = if shards {
-                    // Counting sort of local indices by home partition:
-                    // local order is preserved within each group, so
-                    // per-vertex merge order stays source-partition-
-                    // ascending in every mode.
-                    let mut offsets = vec![0u32; np + 1];
-                    for &v in &part.vertices {
-                        offsets[home[v as usize] as usize + 1] += 1;
-                    }
-                    for q in 0..np {
-                        offsets[q + 1] += offsets[q];
-                    }
-                    let mut cursor = offsets.clone();
-                    let mut locals = vec![0u32; part.vertices.len()];
-                    for (local, &v) in part.vertices.iter().enumerate() {
-                        let q = home[v as usize] as usize;
-                        locals[cursor[q] as usize] = local as u32;
-                        cursor[q] += 1;
-                    }
-                    (offsets, locals)
-                } else {
-                    (Vec::new(), Vec::new())
-                };
-                PartIndex {
-                    home_offsets,
-                    home_locals,
-                }
-            })
-            .collect();
-
-        let setup = setup.then(|| {
-            let mut home_counts = vec![0u64; np];
-            for &h in &home {
-                home_counts[h as usize] += 1;
-            }
-            let mut isolated_counts = vec![0u64; np];
-            for (v, &m) in pg.masters().iter().enumerate() {
-                if m == NO_PART {
-                    isolated_counts[home[v] as usize] += 1;
-                }
-            }
-            // BTreeMap: iterated below, and unordered iteration in the
-            // engine is exactly what the analyzer's D1 rule forbids.
-            let mut pairs: std::collections::BTreeMap<(u32, u32), u64> =
-                std::collections::BTreeMap::new();
-            for v in 0..n as u64 {
-                let replicas = pg.routing().parts_of(v);
-                if replicas.len() > 1 {
-                    let h = home[v as usize];
-                    let master_exec = exec_of_part[h as usize];
-                    for &p in replicas {
-                        if p != h {
-                            *pairs
-                                .entry((master_exec, exec_of_part[p as usize]))
-                                .or_default() += 1;
-                        }
-                    }
-                }
-            }
-            // BTreeMap iteration is already key-ascending: no sort needed.
-            let bcast_pairs: Vec<((u32, u32), u64)> = pairs.into_iter().collect();
-            SetupAggregates {
-                home_counts,
-                isolated_counts,
-                bcast_pairs,
-            }
-        });
-
         Self {
             home,
             exec_of_part,
-            parts,
-            setup,
-            adjacency: adjacency.then(|| FrontierAdjacency::build(pg)),
+            setup: None,
+            adjacency: None,
         }
     }
 }
 
-/// Per-thread metering accumulator. Every field is an exact integer
-/// counter, so merging thread deltas in any order reproduces the sequential
-/// ledger bit for bit.
+/// Metering accumulator for one shuffle or apply phase, flushed into the
+/// ledger once per phase. Every field is an exact integer counter.
 struct MeterDelta {
     executors: usize,
     /// Row-major `executors × executors` byte/message matrices, allocated
     /// on the first recorded transfer (mirrors [`SuperstepLedger`]'s lazy
     /// hardening: a huge executor grid must not cost `executors²` memory
-    /// per worker thread).
+    /// up front).
     exec_bytes: Vec<u64>,
     exec_msgs: Vec<u64>,
     /// Per-partition counters.
@@ -330,7 +263,7 @@ struct MeterDelta {
     local_bytes: Vec<u64>,
     /// Per-partition resident-state deltas (signed bytes).
     resident: Vec<i64>,
-    /// Messages shuffled by this thread.
+    /// Messages shuffled this phase.
     msgs: u64,
 }
 
@@ -404,19 +337,6 @@ impl MeterDelta {
     }
 }
 
-/// Resets every [`MeterDelta`] and runs `work` over `0..num_parts` on the
-/// shared worker-pool abstraction ([`run_chunked`]), one contiguous range
-/// and one delta per thread.
-fn run_on_pool<F>(num_parts: usize, threads: usize, deltas: &mut [MeterDelta], work: F)
-where
-    F: Fn(std::ops::Range<usize>, &mut MeterDelta) + Sync,
-{
-    for delta in deltas.iter_mut() {
-        delta.reset();
-    }
-    run_chunked(num_parts, threads, deltas, work);
-}
-
 /// Global out/in degree tables, derived from the partitioned edge tables
 /// (the engine never touches the original edge list).
 fn degree_tables(pg: &PartitionedGraph) -> (Vec<u32>, Vec<u32>) {
@@ -432,27 +352,36 @@ fn degree_tables(pg: &PartitionedGraph) -> (Vec<u32>, Vec<u32>) {
     (out_deg, in_deg)
 }
 
-/// Program-independent run scratch: the activity bitset, frontier
-/// bookkeeping, matched-edge counts, and per-thread metering deltas. A
-/// [`PreparedRun`] keeps one of these alive across jobs so back-to-back
-/// dispatches allocate nothing here (the message-typed inbox/partial
-/// buffers are per-program and stay per-run).
-struct RunBuffers {
+/// Everything a run needs besides the graph and the program: the routing
+/// index, degree tables, metering sim, and program-independent scratch
+/// (activity bitset, frontier bookkeeping, matched-edge counts, metering
+/// delta). [`run_pregel`] builds one per call; a [`PreparedRun`] keeps one
+/// alive across jobs, so back-to-back dispatches allocate nothing here (the
+/// message-typed inbox/partial buffers are per-program and stay per-run).
+struct RunScope {
+    index: ScanIndex,
+    out_deg: Vec<u32>,
+    in_deg: Vec<u32>,
+    sim: ClusterSim,
     active: Vec<bool>,
     frontier: FrontierBuffers,
     matched: Vec<u64>,
-    deltas: Vec<MeterDelta>,
+    delta: MeterDelta,
 }
 
-impl RunBuffers {
-    fn new(n: usize, num_parts: usize, executors: usize, threads: usize) -> Self {
+impl RunScope {
+    fn new(pg: &PartitionedGraph, cluster: &ClusterConfig) -> Self {
+        let np = pg.num_parts() as usize;
+        let (out_deg, in_deg) = degree_tables(pg);
         Self {
-            active: vec![false; n],
-            frontier: FrontierBuffers::new(num_parts),
-            matched: vec![0; num_parts],
-            deltas: (0..threads)
-                .map(|_| MeterDelta::new(executors, num_parts))
-                .collect(),
+            index: ScanIndex::build(pg, cluster),
+            out_deg,
+            in_deg,
+            sim: ClusterSim::new(cluster.clone(), pg.num_parts()),
+            active: vec![false; pg.num_vertices() as usize],
+            frontier: FrontierBuffers::new(np),
+            matched: vec![0; np],
+            delta: MeterDelta::new(cluster.executors as usize, np),
         }
     }
 }
@@ -472,39 +401,14 @@ pub fn run_pregel<P: VertexProgram>(
     cluster: &ClusterConfig,
     opts: &PregelConfig,
 ) -> Result<PregelResult<P::State>, SimError> {
-    let np = pg.num_parts() as usize;
-    let threads = opts.executor.threads().min(np.max(1));
-    let index = ScanIndex::build(
-        pg,
-        cluster,
-        threads > 1,
-        program.fixed_state_bytes().is_some(),
-        opts.scan_mode != ScanMode::Dense && !program.always_active(),
-    );
-    let (out_deg, in_deg) = degree_tables(pg);
-    let mut sim = ClusterSim::new(cluster.clone(), pg.num_parts());
-    let mut buffers = RunBuffers::new(
-        pg.num_vertices() as usize,
-        np,
-        cluster.executors as usize,
-        threads,
-    );
-    let (states, supersteps, converged) = execute(
-        program,
-        pg,
-        &index,
-        &out_deg,
-        &in_deg,
-        &mut sim,
-        &mut buffers,
-        threads,
-        opts,
-    )?;
+    let mut scope = RunScope::new(pg, cluster);
+    let (states, supersteps, converged) =
+        execute(program, pg, &mut scope, opts.executor.threads(), opts)?;
     Ok(PregelResult {
         states,
         supersteps,
         converged,
-        sim: sim.into_report(),
+        sim: scope.sim.into_report(),
     })
 }
 
@@ -523,54 +427,20 @@ pub fn run_pregel<P: VertexProgram>(
 /// or the metered [`SimReport`].
 pub struct PreparedRun {
     pg: Arc<PartitionedGraph>,
-    index: ScanIndex,
-    out_deg: Vec<u32>,
-    in_deg: Vec<u32>,
-    sim: ClusterSim,
-    buffers: RunBuffers,
+    scope: RunScope,
     threads: usize,
 }
 
 impl PreparedRun {
     /// Builds the routing index, degree tables, and reusable buffers for
-    /// `pg` on `cluster`, sized for `executor`'s thread budget. Keeps the
-    /// fixed-size-state setup aggregates — the right default for session
-    /// handles that serve arbitrary programs.
+    /// `pg` on `cluster`, with `executor`'s thread budget. The index parts
+    /// only some programs read are built by the first run that needs them
+    /// and kept for the handle's later runs.
     pub fn new(pg: Arc<PartitionedGraph>, cluster: &ClusterConfig, executor: ExecutorMode) -> Self {
-        Self::with_setup_aggregates(pg, cluster, executor, true)
-    }
-
-    /// [`PreparedRun::new`] with control over the setup aggregates: pass
-    /// `false` when every program dispatched through this handle has
-    /// variable-size state ([`VertexProgram::fixed_state_bytes`] is
-    /// `None`), so the O(vertices + replicas) aggregation pass — which
-    /// such programs never read — is skipped.
-    pub fn with_setup_aggregates(
-        pg: Arc<PartitionedGraph>,
-        cluster: &ClusterConfig,
-        executor: ExecutorMode,
-        setup: bool,
-    ) -> Self {
-        let np = pg.num_parts() as usize;
-        let threads = executor.threads().min(np.max(1));
-        // Session handles serve arbitrary programs, so the sparse-scan
-        // adjacency is always worth caching alongside the routing index.
-        let index = ScanIndex::build(&pg, cluster, threads > 1, setup, true);
-        let (out_deg, in_deg) = degree_tables(&pg);
-        let sim = ClusterSim::new(cluster.clone(), pg.num_parts());
-        let buffers = RunBuffers::new(
-            pg.num_vertices() as usize,
-            np,
-            cluster.executors as usize,
-            threads,
-        );
+        let threads = executor.threads().min(pg.num_parts().max(1) as usize);
         Self {
+            scope: RunScope::new(&pg, cluster),
             pg,
-            index,
-            out_deg,
-            in_deg,
-            sim,
-            buffers,
             threads,
         }
     }
@@ -582,7 +452,7 @@ impl PreparedRun {
 
     /// The cluster the metering sim bills against.
     pub fn cluster(&self) -> &ClusterConfig {
-        self.sim.config()
+        self.scope.sim.config()
     }
 
     /// The thread budget the handle was prepared for.
@@ -600,60 +470,59 @@ impl PreparedRun {
         program: &P,
         opts: &PregelConfig,
     ) -> Result<PregelResult<P::State>, SimError> {
-        let np = self.pg.num_parts() as usize;
-        let threads = opts.executor.threads().min(self.threads).min(np.max(1));
-        self.sim.reset();
-        let (states, supersteps, converged) = execute(
-            program,
-            &self.pg,
-            &self.index,
-            &self.out_deg,
-            &self.in_deg,
-            &mut self.sim,
-            &mut self.buffers,
-            threads,
-            opts,
-        )?;
+        let threads = opts.executor.threads().min(self.threads);
+        self.scope.sim.reset();
+        let (states, supersteps, converged) =
+            execute(program, &self.pg, &mut self.scope, threads, opts)?;
         Ok(PregelResult {
             states,
             supersteps,
             converged,
-            sim: self.sim.report().clone(),
+            sim: self.scope.sim.report().clone(),
         })
     }
 }
 
-/// The superstep loop shared by [`run_pregel`] (transient index/buffers)
-/// and [`PreparedRun::run`] (cached index, reused buffers). `threads` is
-/// the already-clamped worker count; `opts` supplies the iteration cap and
+/// The superstep loop shared by [`run_pregel`] (transient scope) and
+/// [`PreparedRun::run`] (cached index, reused buffers). `threads` is the
+/// scan's worker count; `opts` supplies the iteration cap and
 /// load-charging policy.
-#[allow(clippy::too_many_arguments)]
 fn execute<P: VertexProgram>(
     program: &P,
     pg: &PartitionedGraph,
-    index: &ScanIndex,
-    out_deg: &[u32],
-    in_deg: &[u32],
-    sim: &mut ClusterSim,
-    buffers: &mut RunBuffers,
+    scope: &mut RunScope,
     threads: usize,
     opts: &PregelConfig,
 ) -> Result<(Vec<P::State>, u64, bool), SimError> {
+    let RunScope {
+        index,
+        out_deg,
+        in_deg,
+        sim,
+        active,
+        frontier: fb,
+        matched,
+        delta,
+    } = scope;
+    let (out_deg, in_deg): (&[u32], &[u32]) = (out_deg, in_deg);
     let n = pg.num_vertices() as usize;
     let np = pg.num_parts() as usize;
     let num_edges = pg.num_edges();
     let msg_overhead = sim.config().cost.message_overhead_bytes;
-    let executors = sim.config().executors as usize;
-    debug_assert_eq!(executors, buffers.deltas[0].executors);
+    debug_assert_eq!(sim.config().executors as usize, delta.executors);
     let all_active = program.always_active();
     let dir = program.active_direction();
-    // Sparse scans need the incident-edge adjacency. Without one — forced
-    // dense mode, an always-active program (its frontier never shrinks), or
-    // an index built without it — every superstep takes the dense path.
+    // Sparse scans need the incident-edge adjacency, built on first need.
+    // Forced dense mode and always-active programs (their frontier never
+    // shrinks) take the dense path every superstep and never build it.
     let adjacency = if all_active || opts.scan_mode == ScanMode::Dense {
         None
     } else {
-        index.adjacency.as_ref()
+        Some(
+            &*index
+                .adjacency
+                .get_or_insert_with(|| FrontierAdjacency::build(pg)),
+        )
     };
     let force_sparse = opts.scan_mode == ScanMode::Sparse;
 
@@ -681,10 +550,12 @@ fn execute<P: VertexProgram>(
         })
         .collect();
     let fixed_state = program.fixed_state_bytes();
-    let batched_setup = match (fixed_state, &index.setup) {
-        (Some(size), Some(setup)) => Some((size, setup)),
-        _ => None,
-    };
+    let batched_setup = fixed_state.map(|size| {
+        let setup = index
+            .setup
+            .get_or_insert_with(|| SetupAggregates::build(pg, &index.home, &index.exec_of_part));
+        (size, &*setup)
+    });
     if let Some((size, setup)) = batched_setup {
         // Every state bills the same constant, so the setup superstep is a
         // pure function of the cut's precomputed counts: one vertex op per
@@ -759,7 +630,7 @@ fn execute<P: VertexProgram>(
 
     // --- Run-scoped buffers: message-typed inbox/partials are allocated
     //     per run (the message type changes with the program); everything
-    //     program-independent comes from the reusable `RunBuffers` and is
+    //     program-independent comes from the reusable `RunScope` and is
     //     re-initialized in place. ---
     let mut partials: Vec<Vec<Option<P::Msg>>> = pg
         .parts()
@@ -771,13 +642,6 @@ fn execute<P: VertexProgram>(
         })
         .collect();
     let mut inbox: Vec<Option<P::Msg>> = std::iter::repeat_with(|| None).take(n).collect();
-    let RunBuffers {
-        active,
-        frontier: fb,
-        matched,
-        deltas,
-    } = buffers;
-    let deltas = &mut deltas[..threads];
     fb.reset();
     let FrontierBuffers {
         frontier,
@@ -837,7 +701,7 @@ fn execute<P: VertexProgram>(
             program,
             pg,
             adjacency,
-            &*states,
+            &states,
             active,
             out_deg,
             in_deg,
@@ -860,232 +724,110 @@ fn execute<P: VertexProgram>(
         sim.ledger()
             .record_frontier(active_count, n as u64, scanned, num_edges);
 
-        // 2. Shuffle partials to masters. Dense/full partitions: one linear
-        //    sweep over the partial buffer (single-threaded) or the
-        //    home-grouped locals (pool). Sparse partitions: drain exactly
-        //    the touched slots. Every path visits each vertex's messages in
-        //    ascending source-partition order — at most one slot exists per
-        //    (vertex, partition) — so the merged inbox is bit-identical.
-        //    First-written inbox slots are recorded per home partition:
-        //    they are the next frontier.
-        if threads <= 1 {
-            let delta = &mut deltas[0];
-            delta.reset();
-            for p in 0..np {
-                let globals = &pg.parts()[p].vertices;
-                let from_exec = index.exec_of_part[p];
-                let partial = &mut partials[p];
-                let mut drain = |local: usize, slot: &mut Option<P::Msg>| {
-                    let Some(msg) = slot.take() else { return };
-                    let v = vid_index(globals[local]);
-                    let q = part_index(index.home[v]);
-                    let bytes = program.msg_bytes(&msg) + msg_overhead;
-                    delta.send_exec(from_exec, index.exec_of_part[q], 1, bytes);
-                    delta.local_bytes[q] += bytes;
-                    delta.msgs += 1;
-                    let entry = &mut inbox[v];
-                    *entry = Some(match entry.take() {
-                        Some(acc) => program.merge(acc, msg),
-                        None => {
-                            touched_inbox[q].push(v as VertexId);
-                            msg
-                        }
-                    });
-                };
-                if scan_kind[p] == ScanKind::Sparse {
-                    for &local in touched_partials[p].iter() {
-                        drain(local as usize, &mut partial[local as usize]);
+        // 2. Shuffle partials to masters, partitions in ascending order.
+        //    Dense/full partitions: one linear sweep over the partial
+        //    buffer. Sparse partitions: drain exactly the touched slots.
+        //    Either way each vertex's messages merge in ascending
+        //    source-partition order — at most one slot exists per (vertex,
+        //    partition) — so the merged inbox is the same in every scan
+        //    mode. First-written inbox slots are recorded per home
+        //    partition: they are the next frontier.
+        delta.reset();
+        for p in 0..np {
+            let globals = &pg.parts()[p].vertices;
+            let from_exec = index.exec_of_part[p];
+            let partial = &mut partials[p];
+            let mut drain = |local: usize, slot: &mut Option<P::Msg>| {
+                let Some(msg) = slot.take() else { return };
+                let v = vid_index(globals[local]);
+                let q = part_index(index.home[v]);
+                let bytes = program.msg_bytes(&msg) + msg_overhead;
+                delta.send_exec(from_exec, index.exec_of_part[q], 1, bytes);
+                delta.local_bytes[q] += bytes;
+                delta.msgs += 1;
+                let entry = &mut inbox[v];
+                *entry = Some(match entry.take() {
+                    Some(acc) => program.merge(acc, msg),
+                    None => {
+                        touched_inbox[q].push(v as VertexId);
+                        msg
                     }
-                } else {
-                    for (local, slot) in partial.iter_mut().enumerate() {
-                        drain(local, slot);
-                    }
+                });
+            };
+            if scan_kind[p] == ScanKind::Sparse {
+                for &local in touched_partials[p].iter() {
+                    drain(local as usize, &mut partial[local as usize]);
+                }
+            } else {
+                for (local, slot) in partial.iter_mut().enumerate() {
+                    drain(local, slot);
                 }
             }
-        } else {
-            let inbox_cells = DisjointSlice::new(&mut inbox);
-            let touched_cells = DisjointSlice::new(touched_inbox.as_mut_slice());
-            let partial_cells: Vec<DisjointSlice<'_, Option<P::Msg>>> =
-                partials.iter_mut().map(|p| DisjointSlice::new(p)).collect();
-            run_on_pool(np, threads, deltas, |homes, delta| {
-                for q in homes {
-                    let to_exec = index.exec_of_part[q];
-                    // SAFETY: home q belongs to this thread only.
-                    let touched_q = unsafe { touched_cells.get_mut(q) };
-                    for (p, pindex) in index.parts.iter().enumerate() {
-                        let from_exec = index.exec_of_part[p];
-                        let globals = &pg.parts()[p].vertices;
-                        let mut drain = |local: usize| {
-                            // SAFETY: (p, local) resolves to a vertex whose
-                            // home is q, and q belongs to this thread only
-                            // — one writer per slot even when two threads
-                            // walk the same touched list.
-                            let slot = unsafe { partial_cells[p].get_mut(local) };
-                            let Some(msg) = slot.take() else { return };
-                            let v = vid_index(globals[local]);
-                            let bytes = program.msg_bytes(&msg) + msg_overhead;
-                            delta.send_exec(from_exec, to_exec, 1, bytes);
-                            delta.local_bytes[q] += bytes;
-                            delta.msgs += 1;
-                            // SAFETY: v's home is q — disjoint across threads.
-                            let entry = unsafe { inbox_cells.get_mut(v) };
-                            *entry = Some(match entry.take() {
-                                Some(acc) => program.merge(acc, msg),
-                                None => {
-                                    touched_q.push(v as VertexId);
-                                    msg
-                                }
-                            });
-                        };
-                        if scan_kind[p] == ScanKind::Sparse {
-                            for &local in touched_partials[p].iter() {
-                                if part_index(index.home[vid_index(globals[local as usize])]) == q {
-                                    drain(local as usize);
-                                }
-                            }
-                        } else {
-                            for &local in pindex.locals_of_home(q) {
-                                drain(local as usize);
-                            }
-                        }
-                    }
-                }
-            });
         }
         for list in touched_partials.iter_mut() {
             list.clear();
         }
-        let msg_count: u64 = deltas.iter().map(|d| d.msgs).sum();
-        for delta in deltas.iter() {
-            delta.flush_ledger(sim.ledger());
-        }
+        delta.flush_ledger(sim.ledger());
 
-        if msg_count == 0 {
+        if delta.msgs == 0 {
             converged = true;
             sim.end_superstep()?;
             break;
         }
 
         // 3. Apply at masters; 4. broadcast updated states to mirrors.
-        //    Drains exactly the touched inbox slots, grouped by home
-        //    partition (single-threaded: homes in ascending order;
-        //    multi-threaded: disjoint home shards) — no O(V) inbox sweep
-        //    and no O(V) bitset reset: the old frontier's bits are cleared
-        //    list-wise, then the touched vertices become the new frontier.
-        //    Applies are independent per vertex and all metering is
-        //    commutative-integral, so visit order never shows in states or
-        //    bills. Residency is tracked as signed per-partition deltas
-        //    (exactly zero for fixed-size states).
-        if threads <= 1 {
-            let delta = &mut deltas[0];
-            delta.reset();
-            if !all_active && !frontier_all {
-                for flist in frontier.iter() {
-                    for &fv in flist {
-                        active[vid_index(fv)] = false;
-                    }
+        //    Drains exactly the touched inbox slots, homes in ascending
+        //    order — no O(V) inbox sweep and no O(V) bitset reset: the old
+        //    frontier's bits are cleared list-wise, then the touched
+        //    vertices become the new frontier. Applies are independent per
+        //    vertex and all metering is commutative-integral, so visit
+        //    order never shows in states or bills. Residency is tracked as
+        //    signed per-partition deltas (exactly zero for fixed-size
+        //    states).
+        delta.reset();
+        if !all_active && !frontier_all {
+            for flist in frontier.iter() {
+                for &fv in flist {
+                    active[vid_index(fv)] = false;
                 }
             }
-            for (q, touched_q) in touched_inbox.iter().enumerate() {
-                let master_exec = index.exec_of_part[q];
-                for &tv in touched_q {
-                    let v = vid_index(tv);
-                    let Some(msg) = inbox[v].take() else { continue };
-                    let state = &mut states[v];
-                    let old_bytes = if fixed_state.is_none() {
-                        program.state_bytes(state)
-                    } else {
-                        0
-                    };
-                    *state = program.apply(tv, state, &msg);
-                    if !all_active {
-                        active[v] = true;
-                    }
-                    let state_size = program.state_bytes(state);
-                    delta.vertex_ops[q] += 1;
-                    delta.local_bytes[q] += state_size;
-                    let bytes = state_size + msg_overhead;
-                    for &p in pg.routing().parts_of(tv) {
-                        if part_index(p) != q {
-                            delta.send_exec(
-                                master_exec,
-                                index.exec_of_part[part_index(p)],
-                                1,
-                                bytes,
-                            );
-                        }
-                    }
-                    if fixed_state.is_none() {
-                        let diff = state_size as i64 - old_bytes as i64;
-                        if diff != 0 {
-                            for &p in pg.routing().parts_of(tv) {
-                                delta.resident[part_index(p)] += diff;
-                            }
-                        }
+        }
+        for (q, touched_q) in touched_inbox.iter().enumerate() {
+            let master_exec = index.exec_of_part[q];
+            for &tv in touched_q {
+                let v = vid_index(tv);
+                let Some(msg) = inbox[v].take() else { continue };
+                let state = &mut states[v];
+                let old_bytes = if fixed_state.is_none() {
+                    program.state_bytes(state)
+                } else {
+                    0
+                };
+                *state = program.apply(tv, state, &msg);
+                if !all_active {
+                    active[v] = true;
+                }
+                let state_size = program.state_bytes(state);
+                delta.vertex_ops[q] += 1;
+                delta.local_bytes[q] += state_size;
+                let bytes = state_size + msg_overhead;
+                for &p in pg.routing().parts_of(tv) {
+                    if part_index(p) != q {
+                        delta.send_exec(master_exec, index.exec_of_part[part_index(p)], 1, bytes);
                     }
                 }
-            }
-        } else {
-            let inbox_cells = DisjointSlice::new(&mut inbox);
-            let state_cells = DisjointSlice::new(&mut states);
-            let active_cells = DisjointSlice::new(active.as_mut_slice());
-            run_on_pool(np, threads, deltas, |homes, delta| {
-                for q in homes {
-                    let master_exec = index.exec_of_part[q];
-                    if !all_active && !frontier_all {
-                        for &fv in frontier[q].iter() {
-                            // SAFETY: frontier[q] holds only vertices homed
-                            // at q, owned by this thread only.
-                            unsafe { *active_cells.get_mut(vid_index(fv)) = false };
-                        }
-                    }
-                    for &tv in touched_inbox[q].iter() {
-                        let v = vid_index(tv);
-                        // SAFETY: tv's home is q, owned by this thread
-                        // only; the same argument covers states and the
-                        // activity bitset.
-                        let slot = unsafe { inbox_cells.get_mut(v) };
-                        let Some(msg) = slot.take() else { continue };
-                        let state = unsafe { state_cells.get_mut(v) };
-                        let old_bytes = if fixed_state.is_none() {
-                            program.state_bytes(state)
-                        } else {
-                            0
-                        };
-                        *state = program.apply(tv, state, &msg);
-                        if !all_active {
-                            unsafe { *active_cells.get_mut(v) = true };
-                        }
-                        let state_size = program.state_bytes(state);
-                        delta.vertex_ops[q] += 1;
-                        delta.local_bytes[q] += state_size;
-                        let bytes = state_size + msg_overhead;
+                if fixed_state.is_none() {
+                    let diff = state_size as i64 - old_bytes as i64;
+                    if diff != 0 {
                         for &p in pg.routing().parts_of(tv) {
-                            if part_index(p) != q {
-                                delta.send_exec(
-                                    master_exec,
-                                    index.exec_of_part[part_index(p)],
-                                    1,
-                                    bytes,
-                                );
-                            }
-                        }
-                        if fixed_state.is_none() {
-                            let diff = state_size as i64 - old_bytes as i64;
-                            if diff != 0 {
-                                for &p in pg.routing().parts_of(tv) {
-                                    delta.resident[part_index(p)] += diff;
-                                }
-                            }
+                            delta.resident[part_index(p)] += diff;
                         }
                     }
                 }
-            });
+            }
         }
-        for delta in deltas.iter() {
-            delta.flush_ledger(sim.ledger());
-            delta.flush_resident(sim);
-        }
+        delta.flush_ledger(sim.ledger());
+        delta.flush_resident(sim);
         // The vertices that received messages are exactly next superstep's
         // frontier: swap the touched lists in and recycle the old frontier
         // lists as next superstep's touched scratch. Always-active programs
@@ -1108,14 +850,15 @@ fn execute<P: VertexProgram>(
     Ok((states, supersteps, converged))
 }
 
-/// Scans all partitions, sequentially or on the pool, writing per-partition
-/// pre-aggregated messages into the reusable `partials` buffers and the
-/// matched-edge counts (for metering) into `matched`. Each partition is
-/// scanned according to its planned [`ScanKind`]: `Full` skips the activity
-/// predicate entirely, `Dense` walks all edges testing the bitset, `Sparse`
-/// gathers the frontier's incident edges from the partition's adjacency
-/// lists and visits only those — in ascending edge index, so the per-slot
-/// merge order (and hence every float bit pattern) matches the dense walk.
+/// Scans all partitions on the pool (inline at one thread), writing
+/// per-partition pre-aggregated messages into the reusable `partials`
+/// buffers and the matched-edge counts (for metering) into `matched`. Each
+/// partition is scanned according to its planned [`ScanKind`]: `Full` skips
+/// the activity predicate entirely, `Dense` walks all edges testing the
+/// bitset, `Sparse` gathers the frontier's incident edges from the
+/// partition's adjacency lists and visits only those — in ascending edge
+/// index, so the per-slot merge order (and hence every float bit pattern)
+/// matches the dense walk.
 #[allow(clippy::too_many_arguments)]
 fn scan_all<P: VertexProgram>(
     program: &P,
@@ -1133,26 +876,6 @@ fn scan_all<P: VertexProgram>(
     matched: &mut [u64],
     threads: usize,
 ) {
-    if threads <= 1 {
-        for (p, part) in pg.parts().iter().enumerate() {
-            matched[p] = scan_part_dispatch(
-                program,
-                part,
-                p,
-                adjacency,
-                states,
-                active,
-                out_deg,
-                in_deg,
-                &mut partials[p],
-                &part_frontier[p],
-                &mut touched_partials[p],
-                &mut gather[p],
-                scan_kind[p],
-            );
-        }
-        return;
-    }
     let partial_cells = DisjointSlice::new(partials);
     let touched_cells = DisjointSlice::new(touched_partials);
     let gather_cells = DisjointSlice::new(gather);
@@ -1162,71 +885,49 @@ fn scan_all<P: VertexProgram>(
             // SAFETY: partition ranges are disjoint across threads, so each
             // partition's partial buffer, touched list, gather scratch, and
             // matched slot has exactly one writer.
-            let partial = unsafe { partial_cells.get_mut(p) };
+            let out = unsafe { partial_cells.get_mut(p) };
             let touched = unsafe { touched_cells.get_mut(p) };
             let gat = unsafe { gather_cells.get_mut(p) };
-            let m = scan_part_dispatch(
-                program,
-                &pg.parts()[p],
-                p,
-                adjacency,
-                states,
-                active,
-                out_deg,
-                in_deg,
-                partial,
-                &part_frontier[p],
-                touched,
-                gat,
-                scan_kind[p],
-            );
+            let part = &pg.parts()[p];
+            let flist = &part_frontier[p];
+            let m = match scan_kind[p] {
+                ScanKind::Full => {
+                    scan_partition::<P, true>(program, part, states, active, out_deg, in_deg, out)
+                }
+                ScanKind::Sparse if flist.is_empty() => {
+                    // No frontier replica lives here: nothing to gather, no
+                    // edge the dense predicate would match, no CSR needed.
+                    0
+                }
+                // A `Sparse` plan with no CSR built (which the planner
+                // never produces) degrades safely to the dense walk.
+                ScanKind::Sparse => match adjacency.and_then(|adj| adj.part(p)) {
+                    Some(pa) => {
+                        gather_edges(pa, flist, program.active_direction(), gat);
+                        scan_partition_sparse(
+                            program, part, states, active, out_deg, in_deg, out, gat, touched,
+                        )
+                    }
+                    None => scan_partition::<P, false>(
+                        program, part, states, active, out_deg, in_deg, out,
+                    ),
+                },
+                ScanKind::Dense => {
+                    scan_partition::<P, false>(program, part, states, active, out_deg, in_deg, out)
+                }
+            };
             unsafe { *matched_cells.get_mut(p) = m };
         }
     });
 }
 
-/// Routes one partition's scan to the implementation its planned
-/// [`ScanKind`] calls for. A `Sparse` plan with no adjacency built (which
-/// the planner never produces) degrades safely to the dense predicate walk.
-#[allow(clippy::too_many_arguments)]
-fn scan_part_dispatch<P: VertexProgram>(
-    program: &P,
-    part: &EdgePartition,
-    p: usize,
-    adjacency: Option<&FrontierAdjacency>,
-    states: &[P::State],
-    active: &[bool],
-    out_deg: &[u32],
-    in_deg: &[u32],
-    out: &mut [Option<P::Msg>],
-    flist: &[u32],
-    touched: &mut Vec<u32>,
-    gather: &mut Vec<u32>,
-    kind: ScanKind,
-) -> u64 {
-    match kind {
-        ScanKind::Full => scan_partition_full(program, part, states, out_deg, in_deg, out),
-        ScanKind::Sparse => {
-            if flist.is_empty() {
-                // No frontier replica lives here: nothing to gather, no
-                // edge the dense predicate would match, no CSR needed.
-                return 0;
-            }
-            let Some(pa) = adjacency.and_then(|adj| adj.part(p)) else {
-                return scan_partition(program, part, states, active, out_deg, in_deg, out);
-            };
-            gather_edges(pa, flist, program.active_direction(), gather);
-            scan_partition_sparse(
-                program, part, states, active, out_deg, in_deg, out, gather, touched,
-            )
-        }
-        ScanKind::Dense => scan_partition(program, part, states, active, out_deg, in_deg, out),
-    }
-}
-
-/// Scans one partition: map-side combine into the partition's reusable
-/// local-vertex-indexed buffer (left all-`None` by the previous shuffle).
-fn scan_partition<P: VertexProgram>(
+/// Scans one partition's whole edge table: map-side combine into the
+/// partition's reusable local-vertex-indexed buffer (left all-`None` by the
+/// previous shuffle). With `FULL` every vertex is active (superstep one,
+/// always-active programs): the activity predicate is statically true, the
+/// bitset is never read, and `matched` is exactly the partition's edge
+/// count.
+fn scan_partition<P: VertexProgram, const FULL: bool>(
     program: &P,
     part: &EdgePartition,
     states: &[P::State],
@@ -1242,16 +943,18 @@ fn scan_partition<P: VertexProgram>(
         let dst = part.vertices[ld as usize];
         let s = vid_index(src);
         let d = vid_index(dst);
-        let scan = match dir {
-            ActiveDirection::Either => active[s] || active[d],
-            ActiveDirection::Out => active[s],
-            ActiveDirection::In => active[d],
-            ActiveDirection::Both => active[s] && active[d],
-        };
-        if !scan {
-            continue;
+        if !FULL {
+            let scan = match dir {
+                ActiveDirection::Either => active[s] || active[d],
+                ActiveDirection::Out => active[s],
+                ActiveDirection::In => active[d],
+                ActiveDirection::Both => active[s] && active[d],
+            };
+            if !scan {
+                continue;
+            }
+            matched += 1;
         }
-        matched += 1;
         let triplet = Triplet {
             src,
             dst,
@@ -1270,44 +973,11 @@ fn scan_partition<P: VertexProgram>(
             }
         }
     }
-    matched
-}
-
-/// Scans one partition with every vertex active: the activity predicate is
-/// statically true (superstep one, always-active programs), so the bitset
-/// is never read and `matched` is exactly the partition's edge count.
-fn scan_partition_full<P: VertexProgram>(
-    program: &P,
-    part: &EdgePartition,
-    states: &[P::State],
-    out_deg: &[u32],
-    in_deg: &[u32],
-    out: &mut [Option<P::Msg>],
-) -> u64 {
-    for &(ls, ld) in &part.edges {
-        let src = part.vertices[ls as usize];
-        let dst = part.vertices[ld as usize];
-        let s = vid_index(src);
-        let d = vid_index(dst);
-        let triplet = Triplet {
-            src,
-            dst,
-            src_state: &states[s],
-            dst_state: &states[d],
-            src_out_degree: out_deg[s],
-            dst_in_degree: in_deg[d],
-        };
-        match program.send(&triplet) {
-            Messages::None => {}
-            Messages::ToSrc(m) => emit(program, &mut out[ls as usize], m),
-            Messages::ToDst(m) => emit(program, &mut out[ld as usize], m),
-            Messages::Both(ms, md) => {
-                emit(program, &mut out[ls as usize], ms);
-                emit(program, &mut out[ld as usize], md);
-            }
-        }
+    if FULL {
+        part.edges.len() as u64
+    } else {
+        matched
     }
-    part.edges.len() as u64
 }
 
 /// Scans one partition through a gathered edge-index list instead of the
@@ -1782,9 +1452,9 @@ mod tests {
 
     #[test]
     fn prepared_run_clamps_threads_to_its_budget() {
-        // A handle prepared sequentially has no home shards; a parallel
-        // request degrades to the sequential sweep — with identical
-        // results, not a panic.
+        // A handle prepared sequentially has a budget of one thread; a
+        // parallel request runs its scan inline on the calling thread —
+        // with identical results, not a panic.
         let g = cutfit_datagen::rmat(&cutfit_datagen::RmatConfig::default(), 8);
         let pg = Arc::new(GraphXStrategy::RandomVertexCut.partition(&g, 8));
         let seq = run_pregel(&MaxLabel, &pg, &cfg(), &PregelConfig::default()).unwrap();
@@ -1801,6 +1471,64 @@ mod tests {
             .unwrap();
         assert_eq!(r.states, seq.states);
         assert_eq!(r.sim, seq.sim);
+    }
+
+    /// Runs `program` through `prepared` and asserts states and bill equal
+    /// a one-shot [`run_pregel`] with the same options.
+    fn assert_prepared_matches_fresh<P: VertexProgram>(
+        prepared: &mut PreparedRun,
+        program: &P,
+        opts: &PregelConfig,
+    ) where
+        P::State: PartialEq + std::fmt::Debug,
+    {
+        let fresh = run_pregel(program, prepared.graph(), prepared.cluster(), opts).unwrap();
+        let r = prepared.run(program, opts).unwrap();
+        let what = (program.name(), opts.executor, opts.scan_mode);
+        assert_eq!(r.states, fresh.states, "{what:?}");
+        assert_eq!(r.sim, fresh.sim, "{what:?}: metering drifted");
+        assert_eq!(r.supersteps, fresh.supersteps, "{what:?}");
+    }
+
+    #[test]
+    fn prepared_run_builds_lazy_index_parts_on_first_need() {
+        // The setup aggregates and the sparse-scan adjacency are built by
+        // the first run that needs them, whatever ran before. Includes
+        // isolated vertices, which the setup aggregates count separately.
+        let g = cutfit_datagen::rmat(&cutfit_datagen::RmatConfig::default(), 9);
+        let g = Graph::new(g.num_vertices() + 5, g.edges().to_vec());
+        let pg = Arc::new(GraphXStrategy::EdgePartition2D.partition(&g, 16));
+        for mode in [
+            ExecutorMode::Sequential,
+            ExecutorMode::Parallel { threads: 4 },
+        ] {
+            let opts = |scan_mode| PregelConfig {
+                executor: mode,
+                scan_mode,
+                ..Default::default()
+            };
+            // Variable-size first, then fixed-size, then a converging
+            // program under Dense followed by Auto.
+            let mut prepared = PreparedRun::new(pg.clone(), &cfg(), mode);
+            let built = |p: &PreparedRun| {
+                let index = &p.scope.index;
+                (index.setup.is_some(), index.adjacency.is_some())
+            };
+            assert_eq!(built(&prepared), (false, false));
+            assert_prepared_matches_fresh(&mut prepared, &GrowingTrail, &opts(ScanMode::Dense));
+            assert_eq!(built(&prepared), (false, false));
+            assert_prepared_matches_fresh(&mut prepared, &MaxLabel, &opts(ScanMode::Dense));
+            assert_eq!(built(&prepared), (true, false));
+            assert_prepared_matches_fresh(&mut prepared, &MaxLabel, &opts(ScanMode::Auto));
+            assert_eq!(built(&prepared), (true, true));
+            // The other order: the adjacency first, from a variable-size
+            // program, then a fixed-size one reusing it.
+            let mut prepared = PreparedRun::new(pg.clone(), &cfg(), mode);
+            assert_prepared_matches_fresh(&mut prepared, &GrowingTrail, &opts(ScanMode::Sparse));
+            assert_eq!(built(&prepared), (false, true));
+            assert_prepared_matches_fresh(&mut prepared, &MaxLabel, &opts(ScanMode::Auto));
+            assert_eq!(built(&prepared), (true, true));
+        }
     }
 
     #[test]

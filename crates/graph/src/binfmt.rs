@@ -72,6 +72,10 @@ pub const HEADER_LEN: u64 = 40;
 /// encoded.
 pub const DEFAULT_BLOCK_EDGES: u32 = 65_536;
 
+/// Most payload bytes a frame reserves before reading: a frame's length
+/// field is untrusted until its bytes arrive.
+const PAYLOAD_RESERVE_BYTES: usize = 1 << 20;
+
 /// Decoded file header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BinHeader {
@@ -374,8 +378,32 @@ impl<R: Read> RawBlockReader<R> {
                 ),
             });
         }
-        let mut payload = vec![0u8; payload_len as usize];
-        read_exact_at(&mut self.r, &mut payload, self.offset)?;
+        // Every edge costs at least two varint bytes, so a frame claiming
+        // more edges than half its payload is corrupt — and rejecting it
+        // here bounds every later edge-buffer reservation by bytes that
+        // were actually read.
+        if u64::from(edge_count) > u64::from(payload_len) / 2 {
+            return Err(ParseError::Corrupt {
+                offset: block_offset,
+                what: format!(
+                    "block declares {edge_count} edges in a {payload_len}-byte payload \
+                     (at least 2 bytes per edge)"
+                ),
+            });
+        }
+        // Read incrementally rather than zero-filling `payload_len` bytes
+        // up front: a hostile length on a short file ends in `Truncated`
+        // with at most the file's bytes allocated.
+        let mut payload = Vec::with_capacity((payload_len as usize).min(PAYLOAD_RESERVE_BYTES));
+        let read = (&mut self.r)
+            .take(u64::from(payload_len))
+            .read_to_end(&mut payload)
+            .map_err(ParseError::Io)?;
+        if read < payload_len as usize {
+            return Err(ParseError::Truncated {
+                offset: self.offset + read as u64,
+            });
+        }
         self.offset += payload_len as u64;
         let mut check = [0u8; 8];
         read_exact_at(&mut self.r, &mut check, self.offset)?;
@@ -633,6 +661,65 @@ mod tests {
         bytes[count_at..count_at + 4].copy_from_slice(&99u32.to_le_bytes());
         match read_binary(&bytes[..]).unwrap_err() {
             ParseError::Corrupt { offset, .. } => assert_eq!(offset, HEADER_LEN),
+            e => panic!("unexpected: {e}"),
+        }
+    }
+
+    #[test]
+    fn hostile_edge_counts_are_typed_errors_not_aborts() {
+        // A valid header declaring 2^40 edges, then one frame claiming
+        // u32::MAX edges in a 4-byte payload with a matching checksum.
+        // Trusting either count would reserve terabytes and abort.
+        let mut header = Vec::new();
+        header.extend_from_slice(&MAGIC);
+        header.extend_from_slice(&VERSION.to_le_bytes());
+        header.extend_from_slice(&DEFAULT_BLOCK_EDGES.to_le_bytes());
+        header.extend_from_slice(&8u64.to_le_bytes());
+        header.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        let checksum = fnv1a64(&header);
+        header.extend_from_slice(&checksum.to_le_bytes());
+        let payload = [0u8, 0, 2, 0];
+        let mut bytes = header;
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        match read_binary(&bytes[..]).unwrap_err() {
+            ParseError::Corrupt { offset, what } => {
+                assert_eq!(offset, HEADER_LEN);
+                assert!(what.contains("2 bytes per edge"), "{what}");
+            }
+            e => panic!("unexpected: {e}"),
+        }
+        // Through the file source and `materialize`, which also sizes its
+        // buffer from the header's edge count.
+        let path = std::env::temp_dir().join("cutfit-binfmt-hostile.bin");
+        std::fs::write(&path, &bytes).unwrap();
+        let source = crate::source::BinaryFileSource::open(&path).unwrap();
+        assert_eq!(crate::source::GraphSource::num_edges(&source), 1 << 40);
+        let err = crate::source::materialize(&source).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ParseError::Corrupt {
+                    offset: HEADER_LEN,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn oversized_payload_length_on_a_short_file_is_truncation() {
+        // A frame claiming a 4 GiB payload that the file does not hold
+        // reads what is there and stops, instead of zero-filling 4 GiB.
+        let mut bytes = encode(&sample());
+        let len_at = HEADER_LEN as usize + 4;
+        bytes[len_at..len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        match read_binary(&bytes[..]).unwrap_err() {
+            ParseError::Truncated { offset } => assert_eq!(offset as usize, bytes.len()),
             e => panic!("unexpected: {e}"),
         }
     }

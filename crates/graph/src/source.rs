@@ -374,11 +374,17 @@ impl GraphSource for BinaryFileSource {
     }
 }
 
+/// Most edges [`materialize`] reserves up front. A container header's edge
+/// count is untrusted until the blocks deliver it, so a hostile header
+/// cannot force a huge allocation; larger graphs grow the vector as edges
+/// arrive.
+const MATERIALIZE_RESERVE_EDGES: u64 = 1 << 20;
+
 /// Materializes any source into a resident [`Graph`] (edge order and
 /// multiplicity preserved) — the bridge back from streaming to the
 /// whole-graph APIs (CSR builds, multilevel partitioning).
 pub fn materialize(source: &dyn GraphSource) -> Result<Graph, ParseError> {
-    let mut edges = Vec::with_capacity(source.num_edges() as usize);
+    let mut edges = Vec::with_capacity(source.num_edges().min(MATERIALIZE_RESERVE_EDGES) as usize);
     source.for_each_chunk(usize::MAX, &mut |chunk| edges.extend_from_slice(chunk))?;
     Ok(Graph::new_unchecked(source.num_vertices(), edges))
 }

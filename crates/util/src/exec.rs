@@ -8,12 +8,12 @@
 //!
 //! * [`run_ranges`] / [`run_chunked`] — run a closure over disjoint index
 //!   ranges, optionally pairing each range with per-thread scratch state
-//!   (the engine's metering deltas);
+//!   (the CSR builder's per-worker count rows);
 //! * [`fill_chunks`] — fill an output slice by handing each worker its own
 //!   contiguous sub-slice (the partitioners' per-edge assignments);
 //! * [`DisjointSlice`] — a shared-slice cell wrapper for phases whose write
 //!   indices are provably disjoint but not contiguous (the engine's
-//!   home-partition shards, the fused multi-strategy sweep);
+//!   per-partition scan buffers, the fused multi-strategy sweep);
 //! * [`run_pipeline`] — a bounded, in-order producer/workers/consumer
 //!   pipeline over a condvar ring buffer: frames fan out to N transform
 //!   threads and re-serialize through a fixed reorder window, so the
@@ -35,7 +35,7 @@
 //!   completion order (same shard boundaries, same shard↔state pairing).
 //!   Any caller whose output is truly order-independent must be
 //!   bit-identical under every seed; `tests/exec_interleaving.rs` pins the
-//!   engine's scan/shuffle/apply phases with it.
+//!   engine's pooled scan with it.
 
 use std::cell::Cell;
 use std::ops::Range;

@@ -1,6 +1,7 @@
-//! Adversarial shard-interleaving tests: the engine's parallel phases must
-//! produce bit-identical results no matter in which order the worker shards
-//! complete.
+//! Adversarial shard-interleaving tests: the engine's parallel phase (the
+//! scan, sharded over edge partitions; shuffle and apply run on the calling
+//! thread) must produce bit-identical results no matter in which order the
+//! worker shards complete.
 //!
 //! [`cutfit::util::exec::with_shard_permutation`] replays every pool
 //! fan-out as a sequential run of the same shards in a seeded adversarial
